@@ -176,6 +176,7 @@ void MemoryCoalescer::enqueue_packets(std::vector<CoalescedPacket> packets,
       crq_overflow_.push_back(std::move(pkt));
     } else {
       crq_.push(std::move(pkt));
+      ++crq_pushes_;
     }
   }
   if (cfg_.enable_pool) pool_.recycle_packets(std::move(packets));
@@ -188,6 +189,7 @@ void MemoryCoalescer::drain_crq() {
     while (!crq_overflow_.empty() && !crq_.full()) {
       crq_.push(std::move(crq_overflow_.front()));
       crq_overflow_.pop_front();
+      ++crq_pushes_;
     }
   };
   refill();
@@ -208,6 +210,16 @@ void MemoryCoalescer::drain_crq() {
     }
     // Head blocked on a free entry. §4.2: the rest of the CRQ still gets
     // compared against all MSHRs and fully-covered packets merge in place.
+    // Fills only remove coverage and merges only use up subentry room, so a
+    // packet that failed to merge keeps failing until an entry is allocated
+    // or a packet joins the CRQ: without either, the sweep is skipped.
+    const std::uint64_t allocations = mshrs_.stats().allocations;
+    if (crq_pushes_ == swept_at_pushes_ &&
+        allocations == swept_at_allocations_) {
+      break;
+    }
+    swept_at_pushes_ = crq_pushes_;
+    swept_at_allocations_ = allocations;
     for (std::size_t i = 1; i < crq_.size();) {
       if (mshrs_.try_merge_only(crq_.at(i))) {
         ++stats_.crq_merges;

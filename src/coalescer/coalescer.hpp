@@ -155,6 +155,13 @@ class MemoryCoalescer {
 
   RingBuffer<CoalescedPacket> crq_;
   std::deque<CoalescedPacket> crq_overflow_;  ///< packets waiting for CRQ room
+  /// Packets pushed into crq_ (directly or refilled from the overflow), and
+  /// that count plus the MSHR allocation count as of the last blocked-head
+  /// sweep: while neither moves, drain_crq() skips the sweep (it cannot
+  /// merge anything the previous one could not).
+  std::uint64_t crq_pushes_ = 0;
+  std::uint64_t swept_at_pushes_ = ~std::uint64_t{0};
+  std::uint64_t swept_at_allocations_ = ~std::uint64_t{0};
   /// Fig 13 fill-time tracking: cumulative DMC busy cycles at each push; a
   /// sample is the busy time spanned by CRQ-capacity consecutive pushes.
   Cycle dmc_busy_total_ = 0;

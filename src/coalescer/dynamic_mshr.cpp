@@ -3,12 +3,15 @@
 #include <algorithm>
 #include <cassert>
 
-#include "common/bits.hpp"
-
 namespace hmcc::coalescer {
 
 DynamicMshrFile::DynamicMshrFile(const CoalescerConfig& cfg)
-    : cfg_(cfg), entries_(cfg.num_mshrs) {}
+    : cfg_(cfg),
+      block_bytes_(std::max(cfg.max_packet_bytes, cfg.line_bytes)),
+      entries_(cfg.num_mshrs),
+      block_keys_(cfg.num_mshrs, kFreeSlot),
+      issue_ids_(cfg.num_mshrs, 0),
+      attach_scratch_(cfg.num_mshrs, 0) {}
 
 bool DynamicMshrFile::covers(const Entry& e, Addr line_addr) const noexcept {
   return line_addr >= e.base &&
@@ -79,40 +82,39 @@ std::vector<CoalescedPacket> DynamicMshrFile::repacketize(
 }
 
 std::size_t DynamicMshrFile::plan_overlap(const CoalescedPacket& pkt,
-                                          std::vector<Entry*>& hit_entry) {
-  // For each constituent line, find a same-type in-flight entry with
-  // subentry room that covers it. Phase-2 merging can be disabled for the
-  // Figure 8 configuration sweep.
-  hit_entry.assign(pkt.constituents.size(), nullptr);
+                                          bool stop_at_miss) {
+  // For each constituent line, find the lowest-indexed same-type in-flight
+  // entry with subentry room that covers it. Only entries whose block key
+  // matches the line's can cover it, so the scan compares one word per slot
+  // and reads an Entry only on a key match. Phase-2 merging can be disabled
+  // for the Figure 8 configuration sweep.
+  hit_scratch_.assign(pkt.constituents.size(), nullptr);
   if (!cfg_.enable_mshr_merge) return 0;
-  std::vector<std::size_t> local_attach;
-  std::vector<std::size_t>& planned_attach =
-      cfg_.enable_pool ? attach_scratch_ : local_attach;
-  planned_attach.assign(entries_.size(), 0);
+  std::fill(attach_scratch_.begin(), attach_scratch_.end(), 0);
   std::size_t covered = 0;
   for (std::size_t c = 0; c < pkt.constituents.size(); ++c) {
     const Addr line = align_down(pkt.constituents[c].addr, cfg_.line_bytes);
-    for (std::size_t e = 0; e < entries_.size(); ++e) {
+    const std::uint64_t key = block_key(line, pkt.type);
+    for (std::size_t e = 0; e < block_keys_.size(); ++e) {
+      if (block_keys_[e] != key) continue;
       Entry& entry = entries_[e];
-      if (!entry.valid || entry.type != pkt.type || !covers(entry, line)) {
+      if (!covers(entry, line) ||
+          entry.subs.size() + attach_scratch_[e] >= cfg_.max_subentries) {
         continue;
       }
-      if (entry.subs.size() + planned_attach[e] >= cfg_.max_subentries) {
-        continue;
-      }
-      hit_entry[c] = &entry;
-      ++planned_attach[e];
+      hit_scratch_[c] = &entry;
+      ++attach_scratch_[e];
       ++covered;
       break;
     }
+    if (stop_at_miss && hit_scratch_[c] == nullptr) break;
   }
   return covered;
 }
 
-void DynamicMshrFile::commit_attaches(const CoalescedPacket& pkt,
-                                      const std::vector<Entry*>& hit_entry) {
+void DynamicMshrFile::commit_attaches(const CoalescedPacket& pkt) {
   for (std::size_t c = 0; c < pkt.constituents.size(); ++c) {
-    if (Entry* e = hit_entry[c]) {
+    if (Entry* e = hit_scratch_[c]) {
       const CoalescerRequest& r = pkt.constituents[c];
       const Addr line = align_down(r.addr, cfg_.line_bytes);
       Subentry s{};
@@ -126,11 +128,9 @@ void DynamicMshrFile::commit_attaches(const CoalescedPacket& pkt,
 }
 
 bool DynamicMshrFile::try_merge_only(const CoalescedPacket& pkt) {
-  std::vector<Entry*> local_hits;
-  std::vector<Entry*>& hit_entry = cfg_.enable_pool ? hit_scratch_ : local_hits;
-  const std::size_t covered = plan_overlap(pkt, hit_entry);
+  const std::size_t covered = plan_overlap(pkt, /*stop_at_miss=*/true);
   if (covered != pkt.constituents.size()) return false;
-  commit_attaches(pkt, hit_entry);
+  commit_attaches(pkt);
   ++stats_.full_merges;
   return true;
 }
@@ -142,29 +142,30 @@ DynamicMshrFile::InsertResult DynamicMshrFile::try_insert(
   InsertResult result;
 
   // --- Planning pass (no mutation) --------------------------------------
-  std::vector<Entry*> local_hits;
-  std::vector<Entry*>& hit_entry = cfg_.enable_pool ? hit_scratch_ : local_hits;
-  const std::size_t covered = plan_overlap(pkt, hit_entry);
-
-  std::vector<CoalescerRequest> local_remainder;
-  std::vector<CoalescerRequest>& remainder =
-      cfg_.enable_pool ? remainder_scratch_ : local_remainder;
-  remainder.clear();
-  for (std::size_t c = 0; c < pkt.constituents.size(); ++c) {
-    if (!hit_entry[c]) remainder.push_back(pkt.constituents[c]);
+  const std::size_t covered = plan_overlap(pkt, /*stop_at_miss=*/false);
+  // Anything short of a full merge allocates at least one entry; a full
+  // file refuses it before the remainder is built.
+  const bool allocates = covered == 0 || covered < pkt.constituents.size();
+  if (allocates && full()) {
+    ++stats_.rejects_full;
+    return result;  // accepted = false; CRQ retries later
   }
 
   std::vector<CoalescedPacket> new_packets;
   if (covered == 0) {
     // No overlap at all: the packet allocates as-is (no re-split).
     new_packets.push_back(pkt);
-  } else if (!remainder.empty()) {
-    new_packets = repacketize(remainder, pkt.type, pkt.ready_at);
+  } else if (allocates) {
+    remainder_scratch_.clear();
+    for (std::size_t c = 0; c < pkt.constituents.size(); ++c) {
+      if (!hit_scratch_[c]) remainder_scratch_.push_back(pkt.constituents[c]);
+    }
+    new_packets = repacketize(remainder_scratch_, pkt.type, pkt.ready_at);
   }
 
   if (new_packets.size() > capacity() - used_) {
     ++stats_.rejects_full;
-    return result;  // accepted = false; CRQ retries later
+    return result;
   }
 
   // --- Commit pass -------------------------------------------------------
@@ -173,74 +174,74 @@ DynamicMshrFile::InsertResult DynamicMshrFile::try_insert(
   } else if (covered > 0) {
     ++stats_.partial_merges;
   }
-  commit_attaches(pkt, hit_entry);
+  commit_attaches(pkt);
   for (CoalescedPacket& np : new_packets) {
-    Entry* slot = nullptr;
-    for (Entry& e : entries_) {
-      if (!e.valid) {
-        slot = &e;
-        break;
-      }
-    }
-    assert(slot && "capacity was checked in the planning pass");
-    slot->valid = true;
-    slot->type = np.type;
-    slot->base = np.addr;
-    slot->size_lines = np.bytes / cfg_.line_bytes;
-    slot->issue_id = next_issue_id_++;
-    slot->subs.clear();
+    const auto free_slot =
+        std::find(block_keys_.begin(), block_keys_.end(), kFreeSlot);
+    assert(free_slot != block_keys_.end() &&
+           "capacity was checked in the planning pass");
+    const std::size_t slot =
+        static_cast<std::size_t>(free_slot - block_keys_.begin());
+    *free_slot = block_key(np.addr, np.type);
+    assert(block_key(np.end() - cfg_.line_bytes, np.type) == *free_slot &&
+           "a packet never crosses a max-packet block");
+    issue_ids_[slot] = next_issue_id_++;
+    Entry& entry = entries_[slot];
+    entry.base = np.addr;
+    entry.size_lines = np.bytes / cfg_.line_bytes;
+    entry.subs.clear();
     for (const CoalescerRequest& r : np.constituents) {
       const Addr line = align_down(r.addr, cfg_.line_bytes);
       Subentry s{};
       s.line_id =
-          static_cast<std::uint8_t>((line - slot->base) / cfg_.line_bytes);
+          static_cast<std::uint8_t>((line - entry.base) / cfg_.line_bytes);
       s.token = r.token;
       s.line_addr = line;
-      slot->subs.push_back(s);
+      entry.subs.push_back(s);
     }
     ++used_;
     ++stats_.allocations;
-    np.id = slot->issue_id;
+    np.id = issue_ids_[slot];
     result.to_issue.push_back(std::move(np));
   }
   result.accepted = true;
   return result;
 }
 
-DynamicMshrFile::Entry* DynamicMshrFile::find_by_issue_id(ReqId id) {
-  for (Entry& e : entries_) {
-    if (e.valid && e.issue_id == id) return &e;
-  }
-  return nullptr;
+std::size_t DynamicMshrFile::find_by_issue_id(ReqId id) const noexcept {
+  if (id == 0) return issue_ids_.size();  // 0 marks a free slot
+  return static_cast<std::size_t>(
+      std::find(issue_ids_.begin(), issue_ids_.end(), id) - issue_ids_.begin());
 }
 
 std::optional<DynamicMshrFile::FillResult> DynamicMshrFile::on_fill(ReqId id) {
-  Entry* e = find_by_issue_id(id);
-  if (!e) return std::nullopt;
+  const std::size_t slot = find_by_issue_id(id);
+  if (slot == issue_ids_.size()) return std::nullopt;
+  Entry& e = entries_[slot];
   FillResult r;
-  r.base = e->base;
-  r.bytes = e->size_lines * cfg_.line_bytes;
-  r.type = e->type;
-  r.targets.reserve(e->subs.size());
-  for (const Subentry& s : e->subs) {
+  r.base = e.base;
+  r.bytes = e.size_lines * cfg_.line_bytes;
+  r.type = (block_keys_[slot] & 1) != 0 ? ReqType::kStore : ReqType::kLoad;
+  r.targets.reserve(e.subs.size());
+  for (const Subentry& s : e.subs) {
     // Equation (2): subentry address derives from base + lineID * line size.
     const Addr derived =
-        e->base + static_cast<Addr>(s.line_id) * cfg_.line_bytes;
+        e.base + static_cast<Addr>(s.line_id) * cfg_.line_bytes;
     assert(derived == s.line_addr);
     r.targets.push_back(DynMshrTarget{derived, s.token});
   }
-  e->valid = false;
-  e->subs.clear();
+  block_keys_[slot] = kFreeSlot;
+  issue_ids_[slot] = 0;
+  e.subs.clear();
   --used_;
   ++stats_.frees;
   return r;
 }
 
 void DynamicMshrFile::reset() {
-  for (Entry& e : entries_) {
-    e.valid = false;
-    e.subs.clear();
-  }
+  for (Entry& e : entries_) e.subs.clear();
+  std::fill(block_keys_.begin(), block_keys_.end(), kFreeSlot);
+  std::fill(issue_ids_.begin(), issue_ids_.end(), 0);
   used_ = 0;
   next_issue_id_ = 1;
   stats_ = DynMshrStats{};

@@ -24,6 +24,7 @@
 
 #include "coalescer/config.hpp"
 #include "coalescer/request.hpp"
+#include "common/bits.hpp"
 #include "common/descriptor.hpp"
 #include "common/types.hpp"
 
@@ -96,39 +97,57 @@ class DynamicMshrFile {
     std::uint64_t token;
     Addr line_addr;  ///< redundant with base + line_id (kept for checking)
   };
+  /// The payload half of an entry. Its valid bit and T bit live in
+  /// block_keys_, its issue id in issue_ids_.
   struct Entry {
-    bool valid = false;
-    ReqType type = ReqType::kLoad;  ///< the T bit
     Addr base = 0;                  ///< line-aligned base address
     std::uint32_t size_lines = 1;   ///< 1 / 2 / 4 (the 2-bit size field)
-    ReqId issue_id = 0;
     std::vector<Subentry> subs;
   };
 
+  /// block_keys_ value of a free slot. A real key has bit 1 clear (it holds
+  /// bit 0 of a block-aligned address), so no line ever matches it.
+  static constexpr std::uint64_t kFreeSlot = ~std::uint64_t{0};
+
+  /// The CAM key of @p line: its max-packet block address and the T bit.
+  [[nodiscard]] std::uint64_t block_key(Addr line,
+                                        ReqType type) const noexcept {
+    return (align_down(line, block_bytes_) << 1) |
+           static_cast<std::uint64_t>(type == ReqType::kStore);
+  }
   [[nodiscard]] bool covers(const Entry& e, Addr line_addr) const noexcept;
-  /// Planning pass: map each constituent to a coverable entry (or null).
-  /// Returns the number of covered constituents. No mutation.
-  std::size_t plan_overlap(const CoalescedPacket& pkt,
-                           std::vector<Entry*>& hit_entry);
-  /// Commit pass: attach the planned constituents as subentries.
-  void commit_attaches(const CoalescedPacket& pkt,
-                       const std::vector<Entry*>& hit_entry);
+  /// Planning pass: map each constituent to a coverable entry (or null) in
+  /// hit_scratch_. Returns the number of covered constituents. With
+  /// @p stop_at_miss it returns at the first uncovered one, leaving the
+  /// rest of hit_scratch_ unset. No mutation of the file.
+  std::size_t plan_overlap(const CoalescedPacket& pkt, bool stop_at_miss);
+  /// Commit pass: attach the constituents planned in hit_scratch_.
+  void commit_attaches(const CoalescedPacket& pkt);
   /// Re-packetize leftover constituents into legal packets. Consumes
   /// @p leftovers (sorted in place, elements moved out).
   [[nodiscard]] std::vector<CoalescedPacket> repacketize(
       std::vector<CoalescerRequest>& leftovers, ReqType type,
       Cycle ready_at) const;
-  Entry* find_by_issue_id(ReqId id);
+  /// Slot of the in-flight entry issued as @p id, or capacity() if none.
+  [[nodiscard]] std::size_t find_by_issue_id(ReqId id) const noexcept;
 
   CoalescerConfig cfg_;
+  /// Key granularity: no entry spans two blocks of this size, so every
+  /// entry that covers a line carries that line's block key.
+  std::uint64_t block_bytes_;
   std::vector<Entry> entries_;
+  /// One key per slot, (block address << 1) | T, or kFreeSlot: the CAM the
+  /// planning pass compares against before it reads any Entry.
+  std::vector<std::uint64_t> block_keys_;
+  /// Issue id per slot (0 = free; issued ids start at 1).
+  std::vector<ReqId> issue_ids_;
   std::uint32_t used_ = 0;
   ReqId next_issue_id_ = 1;
   DynMshrStats stats_;
-  /// Planning-pass scratch, reused across insertions when cfg_.enable_pool
-  /// is set (the pure-function planning passes overwrite them every call).
+  /// Planning-pass scratch, overwritten by every probe and reused across
+  /// all of them, so a probe allocates nothing once the buffers are warm.
   std::vector<Entry*> hit_scratch_;
-  std::vector<std::size_t> attach_scratch_;
+  std::vector<std::uint32_t> attach_scratch_;
   std::vector<CoalescerRequest> remainder_scratch_;
 };
 

@@ -8,7 +8,9 @@
 // capacity-retaining vectors plus two flat scratch buffers (the SoA
 // sort-key window and the line-group table). Acquire pops a cleared vector
 // with warmed-up capacity; recycle clears and stows it. After a few batches
-// the hot path performs no heap allocation at all.
+// the hot path performs no heap allocation at all. The dynamic MSHR file's
+// planning scratch is not part of the arena: the file owns it and reuses it
+// on every probe whether or not the knob is set.
 //
 // The pool is a pure execution-strategy optimization: with enable_pool off
 // the coalescer's allocation behavior is exactly the historical one, and

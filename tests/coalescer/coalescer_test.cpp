@@ -250,6 +250,50 @@ TEST(Coalescer, LatencyStatsPopulated) {
   EXPECT_EQ(s.size_256, 8u);
 }
 
+TEST(Coalescer, BlockedPacketMergesOnceHeadAllocatesCoveringEntry) {
+  // The CRQ sweep is skipped while no entry is allocated and no packet
+  // arrives. This pins the other side: an allocation by an accepted head
+  // must re-open the sweep, so a blocked packet its new entry covers merges
+  // in place (a crq_merge) instead of waiting to reach the head.
+  CoalescerConfig cfg = full_cfg();
+  cfg.num_mshrs = 3;
+  Harness h(cfg, /*mem_latency=*/5000);
+  // Fill the MSHR file with three unrelated lines.
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    h.submit(0x100000 + i * 0x10000, ReqType::kLoad, i);
+  }
+  h.kernel.run_until(200);
+  ASSERT_EQ(h.issued.size(), 3u);
+  ASSERT_TRUE(h.coalescer.mshrs().full());
+  // Three batches queue behind the full file, in this CRQ order:
+  //   head: 256 B over block 0x8000 (will allocate the covering entry),
+  //   mid:  an unrelated line (stays blocked),
+  //   tail: line 0x8040, inside the head's block.
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    h.submit(0x8000 + i * 64, ReqType::kLoad, 10 + i);
+  }
+  h.kernel.run_until(400);
+  h.submit(0x200000, ReqType::kLoad, 20);
+  h.kernel.run_until(600);
+  h.submit(0x8040, ReqType::kLoad, 30);
+  h.kernel.run_until(800);
+  // The tail was swept once and found nothing to merge into.
+  EXPECT_EQ(h.coalescer.stats().packets_to_crq, 6u);
+  EXPECT_EQ(h.coalescer.stats().crq_merges, 0u);
+  EXPECT_EQ(h.issued.size(), 3u);
+
+  // The first fill frees a slot: the head allocates into it, the middle
+  // packet blocks again, and the sweep merges the tail into the new entry.
+  h.kernel.run();
+  EXPECT_EQ(h.coalescer.stats().crq_merges, 1u);
+  ASSERT_EQ(h.issued.size(), 5u);
+  EXPECT_EQ(h.issued[3].addr, 0x8000u);
+  EXPECT_EQ(h.issued[3].bytes, 256u);
+  EXPECT_EQ(h.issued[4].addr, 0x200000u);
+  EXPECT_EQ(h.completions.size(), 9u);
+  EXPECT_TRUE(h.coalescer.idle());
+}
+
 TEST(Coalescer, PropertyRandomTrafficNeverLosesRequests) {
   Xoshiro256 rng(77);
   for (int trial = 0; trial < 20; ++trial) {

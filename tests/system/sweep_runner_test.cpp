@@ -6,9 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "system/runner.hpp"
@@ -125,13 +127,33 @@ TEST(SweepRunner, ZeroSelectsHardwareConcurrency) {
 
 TEST(SweepRunner, FailureStopsNewIndicesFromStarting) {
   // After a throw no fresh index may be claimed: with 2 workers at most
-  // threads-1 in-flight indices can still run after the failing one.
+  // threads-1 in-flight indices can still run after the failing one. Every
+  // other index holds until index 0 has thrown (a destructor releases them
+  // during the unwind) and index 0's worker has retired, i.e. recorded the
+  // failure. So the outcome never depends on how fast the first throw
+  // unwinds compared with how fast trivial indices run.
   SweepRunner runner(2);
   std::atomic<int> started{0};
+  std::atomic<bool> unwinding{false};
+  struct ReleaseOnUnwind {
+    std::atomic<bool>& flag;
+    ~ReleaseOnUnwind() { flag.store(true); }
+  };
+  // A broken runner could leave the waiters spinning; bound the wait so the
+  // test then fails on the count below instead of hanging.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
   try {
     runner.for_each_index(1000, [&](std::size_t i) {
       ++started;
-      if (i == 0) throw std::runtime_error("early");
+      if (i == 0) {
+        const ReleaseOnUnwind release{unwinding};
+        throw std::runtime_error("early");
+      }
+      while ((!unwinding.load() || runner.pool()->active() > 1) &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
     });
     FAIL() << "expected exception";
   } catch (const std::runtime_error&) {
